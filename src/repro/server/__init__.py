@@ -2,8 +2,8 @@
 
 The package splits into the server proper (:mod:`repro.server.http`) and
 the wire formats it speaks (:mod:`repro.server.wire`): the JSON workload
-encoding whose round trip is fingerprint-exact, and the per-row NDJSON
-tuple encoding whose sharded concatenation is byte-identical to the whole
+encoding whose round trip is fingerprint-exact, and the NDJSON tuple
+encoding whose sharded concatenation is byte-identical to the whole
 relation.  ``python -m repro serve --listen HOST:PORT`` is the CLI door.
 """
 

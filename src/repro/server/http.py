@@ -636,8 +636,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._std_headers()
             self.end_headers()
             sent = 0
+            tracer = get_tracer()
             for batch in cursor:
-                payload = ndjson_batch(batch)
+                with tracer.span("server.encode",
+                                 rows=batch.num_rows) as encode:
+                    payload = ndjson_batch(batch)
+                    encode.set_attribute("bytes", len(payload))
                 if payload:
                     self._write_chunk(payload)
                     sent += len(payload)

@@ -11,16 +11,17 @@ Two encodings live here, both deliberately boring JSON so any HTTP client
   onto the same summary.
 * **NDJSON tuple batches** — :func:`ndjson_batch` renders one streamed
   :class:`~repro.engine.table.Table` batch as newline-delimited JSON rows,
-  one object per tuple, keys in column order, compact separators.  The
-  encoding is strictly *per-row*, so the concatenation of any sharding of a
-  relation is byte-identical to the encoding of the materialised whole —
-  the contract the protocol test suite locks down.
+  one object per tuple, keys in column order, compact separators.  No state
+  crosses a row boundary, so any sharding of a relation concatenates to the
+  encoding of the whole — the contract the protocol test suite locks down.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
@@ -152,18 +153,17 @@ def ndjson_batch(table: Table) -> bytes:
     """One streamed batch as newline-delimited JSON rows (UTF-8 bytes).
 
     One object per tuple, keys in the table's column order, compact
-    separators, ``\\n`` after every row.  Because the encoding never looks
-    across row boundaries, concatenating the encodings of any contiguous
-    sharding of a relation reproduces the encoding of the whole relation
-    byte for byte.
+    separators, ``\\n`` after every row: one ``%`` formatting of a row
+    template built per batch from the column order (keys via ``json.dumps``).
+    No state crosses a row boundary, so the encodings of any contiguous
+    sharding of a relation concatenate to the encoding of the whole.  Only
+    int64 columns are supported (``%d``), matching :class:`Table`.
     """
     names = table.column_names
-    if table.num_rows == 0:
-        return b""
-    rows = zip(*(table.column(name).tolist() for name in names))
-    lines = [json.dumps(dict(zip(names, row)), separators=(",", ":"))
-             for row in rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    keys = ",".join(json.dumps(n).replace("%", "%%") + ":%d" for n in names)
+    row = ("{%s}\n" % keys).encode("ascii")
+    cells = np.column_stack([table.column(n) for n in names]).ravel().tolist()
+    return (row * table.num_rows) % tuple(cells)
 
 
 def shard_bounds(total_rows: int, index: int, count: int) -> Tuple[int, Optional[int]]:

@@ -21,7 +21,10 @@ import urllib.error
 import urllib.request
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     BackendBuild,
@@ -31,6 +34,7 @@ from repro.api import (
 )
 from repro.constraints.cc import CardinalityConstraint
 from repro.constraints.workload import ConstraintSet
+from repro.engine.table import Table
 from repro.errors import ConfigError, ServiceError
 from repro.obs.trace import build_tree, get_tracer, parse_jsonl
 from repro.predicates.dnf import DNFPredicate, col
@@ -219,14 +223,63 @@ class TestWireCodec:
             parse_shard(spec)
 
     def test_ndjson_batch_shape(self):
-        import numpy as np
-
-        from repro.engine.table import Table
-
         table = Table({"pk": np.array([1, 2], dtype=np.int64),
                        "A": np.array([7, 9], dtype=np.int64)})
         assert ndjson_batch(table) == b'{"pk":1,"A":7}\n{"pk":2,"A":9}\n'
         assert ndjson_batch(Table({"pk": np.array([], dtype=np.int64)})) == b""
+
+
+# ---------------------------------------------------------------------- #
+# NDJSON encoder oracle: an independent per-row reference
+# ---------------------------------------------------------------------- #
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+#: Column-name characters the row template must escape exactly as
+#: ``json.dumps`` does: format markers, quotes, backslashes, control
+#: characters and non-ASCII.
+AWKWARD_CHARS = '%d"\\\x00\x01\x1f\n\t\x7fé☃\U0001f600'
+
+
+def per_row_ndjson(table: Table) -> bytes:
+    """The original encoder: one ``json.dumps`` per row."""
+    names = table.column_names
+    rows = zip(*(table.column(name).tolist() for name in names))
+    return "".join(json.dumps(dict(zip(names, row)), separators=(",", ":"))
+                   + "\n" for row in rows).encode("utf-8")
+
+
+@st.composite
+def int64_tables(draw) -> Table:
+    names = draw(st.lists(
+        st.text(st.one_of(st.sampled_from(AWKWARD_CHARS), st.characters()),
+                max_size=6),
+        min_size=1, max_size=6, unique=True))
+    value = st.one_of(st.sampled_from([INT64_MIN, INT64_MAX, 0, -1]),
+                      st.integers(INT64_MIN, INT64_MAX))
+    rows = draw(st.lists(st.tuples(*[value] * len(names)), max_size=12))
+    return Table({name: np.array([row[i] for row in rows], dtype=np.int64)
+                  for i, name in enumerate(names)})
+
+
+class TestNdjsonOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(table=int64_tables())
+    @example(table=Table({"pk": np.array([], dtype=np.int64)}))
+    @example(table=Table({"%s": [INT64_MIN], '"\\': [INT64_MAX]}))
+    def test_matches_per_row_reference(self, table):
+        assert ndjson_batch(table) == per_row_ndjson(table)
+
+    @settings(deadline=None, max_examples=200)
+    @given(table=int64_tables(), data=st.data())
+    def test_contiguous_splits_concatenate(self, table, data):
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, table.num_rows), max_size=4)))
+        bounds = [0, *cuts, table.num_rows]
+        pieces = [Table({name: table.column(name)[lo:hi]
+                         for name in table.column_names})
+                  for lo, hi in zip(bounds, bounds[1:])]
+        assert b"".join(ndjson_batch(piece) for piece in pieces) == \
+            ndjson_batch(table)
 
 
 # ---------------------------------------------------------------------- #
@@ -346,6 +399,26 @@ class TestTracePropagation:
         roots = [r for r in build_tree(in_trace) if r["parent_id"] is None]
         assert [r["name"] for r in roots] == ["server.request"]
         assert roots[0]["attributes"]["status"] == 200
+
+    def test_stream_records_encode_spans(self, server, warm_store):
+        tracer = get_tracer()
+        tracer.clear()
+        trace_id = "e" * 32
+        response = http_get(
+            server, f"/v1/stream/{warm_store.fingerprint}/S?batch_size=300",
+            headers={TRACE_HEADER: trace_id})
+        assert response.status == 200
+        wait_until(lambda: any(s["name"] == "server.request"
+                               and s["trace_id"] == trace_id
+                               for s in tracer.spans()),
+                   message="server.request span export")
+        in_trace = [s for s in tracer.spans() if s["trace_id"] == trace_id]
+        request = next(s for s in in_trace if s["name"] == "server.request")
+        encodes = [s for s in in_trace if s["name"] == "server.encode"]
+        assert [s["attributes"]["rows"] for s in encodes] == [300, 300, 100]
+        assert all(s["parent_id"] == request["span_id"] for s in encodes)
+        assert sum(s["attributes"]["bytes"] for s in encodes) == \
+            len(response.body)
 
     def test_untraced_requests_get_no_header(self, server):
         response = http_get(server, "/healthz")
