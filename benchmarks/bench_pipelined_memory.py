@@ -40,10 +40,10 @@ def test_pipelined_memory_footprint(benchmark, tpcds_env, bench):
 
     print("\n[pipelined memory] AQP collection over"
           f" {NUM_QUERIES} queries, {summary.total_rows():,} regenerated tuples")
-    print("  mode          peak rows in flight    batches      wall (s)")
+    print("  mode          peak rows in flight    batches   values      wall (s)")
     for mode, (plans, stats, seconds) in runs.items():
         print(f"  {mode:12s}  {stats.peak_batch_rows:>15,d}   {stats.batches:>8,d}"
-              f"   {seconds:9.3f}")
+              f" {stats.values:>8,d}   {seconds:9.3f}")
 
     # Equivalence: identical AQPs from both modes.
     materialized, pipelined = runs["materialize"], runs["pipelined"]
@@ -51,6 +51,11 @@ def test_pipelined_memory_footprint(benchmark, tpcds_env, bench):
     # growth is a pipelining regression, not noise: zero tolerance.
     bench.record("pipelined_peak_batch_rows", pipelined[1].peak_batch_rows,
                  unit="rows", direction="lower")
+    # Work count: the int64 cells the filters and joins materialised.
+    # Column pruning and full-match reuse keep it small, and it depends on
+    # the seeded data alone, so any growth is a regression: zero tolerance.
+    bench.record("pipelined_values", pipelined[1].values,
+                 unit="cells", direction="lower")
     bench.record_seconds("pipelined_workload_seconds", pipelined[2])
     bench.record_seconds("materialize_workload_seconds", materialized[2])
     assert [p.operator_cardinalities() for p in materialized[0]] == \

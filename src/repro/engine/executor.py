@@ -21,13 +21,23 @@ filters are row-local and PK-FK joins match each fact row at most once, the
 modes emit byte-identical result tables and
 :class:`~repro.engine.plan.AnnotatedQueryPlan` cardinalities.  The executor's
 :attr:`Executor.stats` hook records the peak batch (or intermediate) rows
-either mode pushed through the plan.
+either mode pushed through the plan, and the int64 values its filters and
+joins materialised.
+
+The join kernel indexes dense primary keys (every generated and regenerated
+relation has keys ``1..N``) with a direct-address slot array, and reuses the
+probe batch's arrays when every row matches, as PK-FK integrity makes the
+normal case.  Each entry point carries only the columns its consumer reads:
+:meth:`Executor.execute` returns the full denormalised view;
+:meth:`Executor.execute_plan` carries only the foreign keys later joins read;
+:meth:`Executor.count` carries those plus the attributes its predicates
+name.  The root filter and every join drop the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.engine.pipeline import (
@@ -107,7 +117,7 @@ class Executor:
         dropped, so AQPs can be collected over databases far larger than
         memory.
         """
-        pipeline, make_plan = self._prepare(query)
+        pipeline, make_plan = self._prepare(query, keep=frozenset())
         drain(pipeline)
         return make_plan()
 
@@ -115,8 +125,16 @@ class Executor:
               predicates: Sequence[DNFPredicate]) -> List[int]:
         """Execute ``query`` and count, per predicate, the matching result
         rows — without retaining the result table in pipelined mode."""
-        pipeline, _ = self._prepare(query)
-        return count_predicates(pipeline, predicates)
+        keep = frozenset(attr for p in predicates for attr in p.attributes)
+        values_before = self.stats.values
+        with trace_span("engine.count", mode=self.mode, relation=query.root,
+                        predicates=len(predicates),
+                        columns=len(keep)) as span:
+            pipeline, _ = self._prepare(query, keep=keep)
+            counts = count_predicates(pipeline, predicates)
+            span.set_attribute("rows", pipeline.rows_out)
+            span.set_attribute("values", self.stats.values - values_before)
+        return counts
 
     def execute_workload(self, workload: Workload) -> List[AnnotatedQueryPlan]:
         """Execute every query of the workload, returning the AQPs."""
@@ -125,15 +143,19 @@ class Executor:
             plans = [self.execute_plan(query) for query in workload]
             span.set_attribute("batches", self.stats.batches)
             span.set_attribute("peak_batch_rows", self.stats.peak_batch_rows)
+            span.set_attribute("values", self.stats.values)
         return plans
 
     # ------------------------------------------------------------------ #
     # plan assembly (shared by both modes)
     # ------------------------------------------------------------------ #
     def _prepare(
-        self, query: Query,
+        self, query: Query, keep: Optional[AbstractSet[str]] = None,
     ) -> Tuple[BatchOperator, Callable[[], AnnotatedQueryPlan]]:
         """Validate the query and assemble its operator chain.
+
+        ``keep`` names the columns the chain's consumer reads (``None``:
+        the full denormalised view).
 
         Materialize mode forces the root relation into a whole table first,
         so the scan yields one full-size batch and every operator sees (and
@@ -144,10 +166,10 @@ class Executor:
         query.validate(self.schema)
         if self.mode == "materialize":
             self.database.table(query.root)
-        return self._build_pipeline(query)
+        return self._build_pipeline(query, keep)
 
     def _build_pipeline(
-        self, query: Query,
+        self, query: Query, keep: Optional[AbstractSet[str]],
     ) -> Tuple[BatchOperator, Callable[[], AnnotatedQueryPlan]]:
         """Assemble the operator chain for ``query``.
 
@@ -155,18 +177,27 @@ class Executor:
         the chain has been drained: operator cardinalities are only complete
         once every batch has flowed through.  Dimension (build) sides are
         resolved eagerly — they are whole-table consumers by design; only
-        the fact side streams.
+        the fact side streams.  Past the root filter and each join, the
+        chain carries ``keep`` plus the foreign keys of the joins still to
+        come.
         """
+        join_order = query.join_order(self.schema)
+        fk_columns = [fk_column for _, fk_column, _ in join_order]
+
+        def needed(done: int) -> Optional[AbstractSet[str]]:
+            """Columns still read once the first ``done`` joins ran."""
+            return None if keep is None else keep.union(fk_columns[done:])
+
         scan_op = BatchScan(self.database, query.root, self.stats)
         source: BatchOperator = scan_op
         root_filter = query.filter_for(query.root)
         filter_op: Optional[BatchFilter] = None
         if not root_filter.is_true:
-            filter_op = BatchFilter(source, root_filter, self.stats)
+            filter_op = BatchFilter(source, root_filter, self.stats, needed(0))
             source = filter_op
 
         joins: List[Tuple[BatchHashJoin, str, str, int, DNFPredicate, int]] = []
-        for _, fk_column, parent in query.join_order(self.schema):
+        for done, (_, fk_column, parent) in enumerate(join_order, start=1):
             parent_table = self.database.table(parent)
             scan_cardinality = parent_table.num_rows
             parent_filter = query.filter_for(parent)
@@ -174,7 +205,8 @@ class Executor:
             if not parent_filter.is_true:
                 build_side = parent_table.select(parent_table.evaluate(parent_filter))
             build = HashJoinBuild(build_side, self.schema.relation(parent).primary_key)
-            join_op = BatchHashJoin(source, fk_column, build, self.stats)
+            join_op = BatchHashJoin(source, fk_column, build, self.stats,
+                                    needed(done))
             source = join_op
             joins.append((join_op, fk_column, parent, scan_cardinality,
                           parent_filter, build_side.num_rows))

@@ -24,7 +24,7 @@ drain raises :class:`EngineError` rather than double-counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import AbstractSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class PipelineStats:
     batches: int = 0
     peak_batch_rows: int = 0
     rows: int = 0
+    #: Int64 cells the filter and join operators materialised (copied or
+    #: gathered) — the engine's work count, independent of machine speed.
+    values: int = 0
 
     def observe(self, num_rows: int) -> None:
         """Record one batch (or one full intermediate) of ``num_rows``."""
@@ -113,76 +116,148 @@ class BatchScan(BatchOperator):
 
 
 class BatchFilter(BatchOperator):
-    """Vectorised selection applied batch-by-batch."""
+    """Vectorised selection applied batch-by-batch.
+
+    ``keep`` names the columns the rest of the plan reads (``None``: all);
+    only those are copied through the selection mask.
+    """
 
     def __init__(self, source: BatchOperator, predicate: DNFPredicate,
-                 stats: Optional[PipelineStats] = None) -> None:
+                 stats: Optional[PipelineStats] = None,
+                 keep: Optional[AbstractSet[str]] = None) -> None:
         super().__init__(stats)
         self.source = source
         self.predicate = predicate
+        self.keep = keep
 
     def _produce(self) -> Iterator[Table]:
         for batch in self.source:
-            yield batch.select(batch.evaluate(self.predicate))
+            mask = batch.evaluate(self.predicate)
+            kept = _kept(batch.column_names, self.keep) or batch.column_names[:1]
+            out = batch.project(kept).select(mask)
+            if self.stats is not None:
+                self.stats.values += out.num_rows * len(kept)
+            yield out
+
+
+#: A build side whose primary keys span at most this many key values per
+#: row is indexed directly, one slot per key value, so the slot array costs
+#: at most 32 bytes per build row; sparser keys (or keys that repeat) use
+#: the sorted index.
+DENSE_SPAN_PER_ROW = 4
 
 
 class HashJoinBuild:
     """The build side of a PK-FK join: a (filtered) dimension table indexed
-    by primary key.
+    by primary key, built once per join and probed by every fact batch.
 
-    The index is a sorted copy of the key column probed with a vectorised
-    binary search — the columnar equivalent of a hash-table build, built
-    once per join and probed by every fact batch.
+    The index is chosen from the keys themselves.  Dense unique keys (a
+    span of at most :data:`DENSE_SPAN_PER_ROW` values per row — every
+    regenerated and generated relation has keys ``1..N``) get a
+    direct-address slot array, so a probe is one O(n) gather
+    ``slots[fk - lo]``.  Sparse or repeated keys get a stable-sorted copy
+    probed by vectorised binary search; a repeated key matches its first
+    row in the table.
     """
 
     def __init__(self, table: Table, primary_key: str) -> None:
         self.table = table
         self.primary_key = primary_key
         pk = table.column(primary_key)
-        self._order = np.argsort(pk, kind="stable")
-        self._pk_sorted = pk[self._order]
+        self._direct = _direct_index(pk)
+        if self._direct is None:
+            self._order = np.argsort(pk, kind="stable")
+            self._pk_sorted = pk[self._order]
 
-    def probe(self, left: Table, fk_column: str) -> Table:
+    def _lookup(self, fks: np.ndarray) -> np.ndarray:
+        """Build-side row of each foreign key, ``-1`` where no key matches."""
+        if self._direct is not None:
+            lo, slots = self._direct
+            # FKs below ``lo`` wrap to huge unsigned offsets; every offset
+            # past the span lands on the trailing -1 slot.
+            offsets = (fks - lo).view(np.uint64)
+            return slots[np.minimum(offsets, len(slots) - 1)]
+        positions = np.searchsorted(self._pk_sorted, fks)
+        positions = np.minimum(positions, len(self._pk_sorted) - 1)
+        matched = self._pk_sorted[positions] == fks
+        return np.where(matched, self._order[positions], -1)
+
+    def probe(self, left: Table, fk_column: str,
+              keep: Optional[AbstractSet[str]] = None) -> Table:
         """Join ``left`` rows whose ``fk_column`` matches a build-side key,
-        carrying over every build-side column not already present."""
+        carrying over every build-side column not already present.
+
+        ``keep`` restricts the output to the named columns (``None``: all).
+        When every row matches — the normal case under PK-FK integrity —
+        the left batch's arrays are reused instead of copied.
+        """
         if not left.has_column(fk_column):
             raise EngineError(
                 f"intermediate result is missing foreign-key column {fk_column!r}"
             )
-        fks = left.column(fk_column)
-        positions = np.searchsorted(self._pk_sorted, fks)
-        positions = np.clip(positions, 0, max(len(self._pk_sorted) - 1, 0))
-        if len(self._pk_sorted) == 0:
-            matched = np.zeros(len(fks), dtype=bool)
-        else:
-            matched = self._pk_sorted[positions] == fks
-        joined = left.select(matched)
-        build_rows = self._order[positions[matched]]
-        extra: Dict[str, np.ndarray] = {}
-        for column in self.table.column_names:
-            if column == self.primary_key or joined.has_column(column):
-                continue
-            extra[column] = self.table.column(column)[build_rows]
-        return joined.with_columns(extra)
+        rows = self._lookup(left.column(fk_column))
+        kept = _kept(left.column_names, keep)
+        carried = [c for c in _kept(self.table.column_names, keep)
+                   if c != self.primary_key and not left.has_column(c)]
+        if not (kept or carried):
+            kept = list(left.column_names[:1])
+        columns = {c: left.column(c) for c in kept}
+        matched = rows >= 0
+        if not matched.all():
+            columns = {c: values[matched] for c, values in columns.items()}
+            rows = rows[matched]
+        for column in carried:
+            columns[column] = self.table.column(column)[rows]
+        return Table(columns, name=left.name)
+
+
+def _direct_index(keys: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
+    """``(lo, slots)`` with ``slots[k - lo]`` the row of key ``k`` (``-1``
+    for a gap, plus one trailing ``-1`` slot for out-of-range probes), or
+    ``None`` when the keys are too sparse or repeat."""
+    lo = int(keys.min()) if len(keys) else 0
+    span = int(keys.max()) - lo + 1 if len(keys) else 0
+    if span > DENSE_SPAN_PER_ROW * len(keys):
+        return None
+    slots = np.full(span + 1, -1, dtype=np.int64)
+    slots[keys - lo] = np.arange(len(keys))
+    if np.count_nonzero(slots >= 0) < len(keys):
+        return None
+    return lo, slots
+
+
+def _kept(columns: Sequence[str],
+          keep: Optional[AbstractSet[str]]) -> List[str]:
+    """The names of ``columns`` in ``keep`` (all of them when ``None``)."""
+    return [c for c in columns if keep is None or c in keep]
 
 
 class BatchHashJoin(BatchOperator):
     """PK-FK join: probes each fact-side batch against a prebuilt dimension
     side.  Every fact row matches at most one dimension row, so the join
     neither reorders nor duplicates probe rows — batch boundaries are
-    preserved exactly."""
+    preserved exactly.  ``keep`` is passed on to :meth:`HashJoinBuild.probe`.
+    """
 
     def __init__(self, source: BatchOperator, fk_column: str,
                  build: HashJoinBuild,
-                 stats: Optional[PipelineStats] = None) -> None:
+                 stats: Optional[PipelineStats] = None,
+                 keep: Optional[AbstractSet[str]] = None) -> None:
         super().__init__(stats)
         self.source = source
         self.fk_column = fk_column
         self.build = build
+        self.keep = keep
 
     def _produce(self) -> Iterator[Table]:
         for batch in self.source:
-            yield self.build.probe(batch, self.fk_column)
+            out = self.build.probe(batch, self.fk_column, self.keep)
+            if self.stats is not None:
+                reused = out.num_rows == batch.num_rows  # full match: no copy
+                copied = sum(1 for c in out.column_names
+                             if not (reused and batch.has_column(c)))
+                self.stats.values += out.num_rows * copied
+            yield out
 
 
 # ---------------------------------------------------------------------- #

@@ -1048,8 +1048,13 @@ class RegenerationService:
                     " is a fingerprint"
                 )
             constraints = request
-        executor = Executor(self.database(request, batch_size, timeout), mode=mode)
-        report = evaluate_with_executor(constraints, executor)
+        with trace_span("service.verify", mode=mode,
+                        constraints=len(constraints)) as span:
+            executor = Executor(self.database(request, batch_size, timeout),
+                                mode=mode)
+            report = evaluate_with_executor(constraints, executor)
+            span.set_attribute("batches", executor.stats.batches)
+            span.set_attribute("values", executor.stats.values)
         self._observe_executor(executor, "verifications")
         return report
 

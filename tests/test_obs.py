@@ -258,6 +258,31 @@ class TestTracing:
         # The streaming cursor finished its own (non-current) span too.
         assert "tuplegen.stream_range" in {r["name"] for r in records}
 
+    def test_verify_span_has_one_engine_count_per_view(
+            self, toy_schema, tracer, tmp_path):
+        tracer.configure(sample=1.0)
+        with RegenerationService(toy_schema, store=str(tmp_path / "store"),
+                                 max_workers=1) as service:
+            service.summarize(toy_ccs())
+            tracer.clear()
+            service.verify(service.fingerprint(toy_ccs()), toy_ccs())
+
+        records = parse_jsonl(tracer.to_jsonl())
+        (verify,) = [r for r in records if r["name"] == "service.verify"]
+        counts = {r["attributes"]["relation"]: r for r in records
+                  if r["name"] == "engine.count"}
+        assert set(counts) == {"R", "S", "T"}
+        for record in counts.values():
+            assert record["parent_id"] == verify["span_id"]
+            assert {"predicates", "rows", "columns", "values"} <= \
+                set(record["attributes"])
+        # R's view streams the whole regenerated fact relation; its one
+        # predicate is ``true``, so no attribute is carried to the count.
+        assert counts["R"]["attributes"]["rows"] == 80_000
+        assert counts["R"]["attributes"]["columns"] == 0
+        assert counts["S"]["attributes"]["predicates"] == 2
+        assert verify["attributes"]["constraints"] == len(toy_ccs())
+
     def test_jsonl_export_file_round_trips(self, toy_schema, tracer,
                                            tmp_path):
         tracer.configure(sample=1.0)

@@ -11,22 +11,30 @@ Covers the PR's acceptance criteria:
 * **Single-pass stream contract** — a stream factory that hands back the
   same exhausted iterator twice raises ``EngineError`` instead of silently
   yielding empty data.
+* **Join kernel** — ``HashJoinBuild.probe`` (direct-address or sorted
+  index, full-match reuse, column pruning) equals a reference
+  ``argsort`` + ``searchsorted`` probe kept in this file, and the pruned
+  entry points (``execute_plan``, ``count``) agree with the full view of
+  ``execute`` in both modes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchdata.datagen import generate_database
 from repro.benchdata.job import job_schema, job_workload
 from repro.benchdata.tpcds import simple_workload
 from repro.engine.database import Database
-from repro.engine.executor import Executor
+from repro.engine.executor import EXECUTOR_MODES, Executor
+from repro.engine.pipeline import DENSE_SPAN_PER_ROW, HashJoinBuild
 from repro.engine.table import Table
 from repro.errors import EngineError
 from repro.hydra.pipeline import Hydra
-from repro.predicates.dnf import col
+from repro.predicates.dnf import and_, col
 from repro.tuplegen.generator import TupleGenerator, dynamic_database
 from repro.workload.query import Query, Workload
 
@@ -116,14 +124,139 @@ def test_modes_identical_on_job_workload(small_job_schema, batch_size):
     assert pipeliner.stats.peak_batch_rows <= batch_size
 
 
+def lower_half(schema, relation: str, attribute: str):
+    """``attribute`` in the lower half of its domain."""
+    domain = schema.relation(relation).attribute(attribute).domain
+    return col(attribute).between(domain.lo, (domain.lo + domain.hi) // 2)
+
+
+def pruning_cases(schema):
+    """``(query, predicates)`` pairs: seeded TPC-DS queries with filtered
+    parents, the ``customer -> customer_address`` snowflake hop, and a
+    filtered query with no joins and nothing to count."""
+    cases = []
+    for query in simple_workload(schema, num_queries=10, seed=3):
+        cases.append((query, [query.filter_for(rel) for rel in query.relations]))
+    birth = lower_half(schema, "customer", "c_birth_year")
+    state = lower_half(schema, "customer_address", "ca_state")
+    snowflake = Query(
+        query_id="snowflake", root="store_sales",
+        relations=("store_sales", "customer", "customer_address", "item"),
+        filters={"customer": birth, "customer_address": state})
+    cases.append((snowflake, [
+        and_(lower_half(schema, "store_sales", "ss_quantity"), state),
+        lower_half(schema, "item", "i_class"),
+        # an attribute outside the view counts zero rows, pruned or not
+        lower_half(schema, "warehouse", "w_warehouse_sq_ft"),
+    ]))
+    cases.append((Query(query_id="no-join", root="item", relations=("item",),
+                        filters={"item": lower_half(schema, "item", "i_class")}),
+                  []))
+    return cases
+
+
 def test_count_matches_collected_table(small_tpcds_schema, small_tpcds_database):
-    streamed = streamed_copy(small_tpcds_database, 4096)
-    workload = simple_workload(small_tpcds_schema, num_queries=10, seed=3)
-    for query in workload:
-        predicates = [query.filter_for(rel) for rel in query.relations]
-        reference = Executor(small_tpcds_database, mode="materialize").execute(query).table
-        counts = Executor(streamed, mode="pipelined").count(query, predicates)
-        assert counts == [reference.count(p) for p in predicates]
+    """The pruned entry points agree with the full view: ``execute_plan``
+    (FK columns only) with ``execute``'s AQP and ``count`` with
+    ``Table.count`` over ``execute``'s table — identically in both modes."""
+    databases = {"materialize": small_tpcds_database,
+                 "pipelined": streamed_copy(small_tpcds_database, 4096)}
+    outcomes = {}
+    for mode in EXECUTOR_MODES:
+        executor = Executor(databases[mode], mode=mode)
+        outcomes[mode] = []
+        for query, predicates in pruning_cases(small_tpcds_schema):
+            full = executor.execute(query)
+            plan = executor.execute_plan(query)
+            counts = executor.count(query, predicates)
+            assert plan == full.plan, query.query_id
+            assert counts == [full.table.count(p) for p in predicates]
+            outcomes[mode].append((plan.operator_cardinalities(), counts))
+    assert outcomes["materialize"] == outcomes["pipelined"]
+    assert any(counts and counts[0] for _, counts in outcomes["pipelined"])
+
+
+# ---------------------------------------------------------------------- #
+# join-kernel oracle
+# ---------------------------------------------------------------------- #
+def reference_probe(build: Table, primary_key: str, left: Table,
+                    fk_column: str, keep=None) -> Table:
+    """The sorted-index probe: stable ``argsort`` of the keys, then
+    ``searchsorted``; a repeated key matches its first row in the table.
+    Drops the columns outside ``keep``, keeping one when none is left."""
+    keys = build.column(primary_key)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    fks = left.column(fk_column)
+    if len(sorted_keys) == 0:
+        matched = np.zeros(len(fks), dtype=bool)
+        positions = np.zeros(len(fks), dtype=np.int64)
+    else:
+        positions = np.clip(np.searchsorted(sorted_keys, fks), 0,
+                            len(sorted_keys) - 1)
+        matched = sorted_keys[positions] == fks
+    rows = order[positions[matched]]
+    columns = {c: left.column(c)[matched] for c in left.column_names}
+    for column in build.column_names:
+        if column != primary_key and column not in columns:
+            columns[column] = build.column(column)[rows]
+    kept = {c: v for c, v in columns.items() if keep is None or c in keep}
+    first = left.column_names[0]
+    return Table(kept or {first: columns[first]})
+
+
+@st.composite
+def join_inputs(draw):
+    """A build side with dense, sparse or repeated (possibly negative)
+    keys, and FKs drawn from the keys, below, above and between them."""
+    kind = draw(st.sampled_from(["dense", "sparse", "repeated"]))
+    n = draw(st.integers(0, 40))
+    lo = draw(st.integers(-10**6, 10**6))
+    if kind == "dense":
+        span = draw(st.integers(n, DENSE_SPAN_PER_ROW * n))
+        keys = draw(st.permutations(range(lo, lo + span)))[:n]
+    elif kind == "sparse":
+        keys = draw(st.lists(st.integers(-2**62, 2**62), min_size=n,
+                             max_size=n, unique=True))
+    else:
+        keys = draw(st.lists(st.integers(lo, lo + n // 2), min_size=n,
+                             max_size=n))
+    low = min(keys, default=lo)
+    high = max(keys, default=lo)
+    fk = st.one_of(
+        st.sampled_from(keys) if keys else st.just(lo),
+        st.integers(low - 5, high + 5),
+        st.integers(-2**63, 2**63 - 1),
+        st.sampled_from([-2**63, 2**63 - 1]),
+    )
+    fks = draw(st.lists(fk, max_size=30))
+    build = Table({"pk": np.array(keys, dtype=np.int64),
+                   "b": np.arange(n, dtype=np.int64) * 10,
+                   "shared": np.arange(n, dtype=np.int64) - 7})
+    left = Table({"fk": np.array(fks, dtype=np.int64),
+                  "a": np.arange(len(fks), dtype=np.int64),
+                  "shared": np.full(len(fks), 99, dtype=np.int64)})
+    keep = draw(st.one_of(st.none(), st.sets(
+        st.sampled_from(["fk", "a", "shared", "b", "pk"]))))
+    return kind, build, left, keep
+
+
+@settings(deadline=None, max_examples=300)
+@given(join_inputs())
+def test_probe_matches_sorted_reference(inputs):
+    kind, build_table, left, keep = inputs
+    build = HashJoinBuild(build_table, "pk")
+    keys = build_table.column("pk").tolist()
+    span = max(keys) - min(keys) + 1 if keys else 0
+    dense = len(set(keys)) == len(keys) and span <= DENSE_SPAN_PER_ROW * len(keys)
+    assert (build._direct is not None) == dense
+    if kind == "dense":
+        assert dense
+    out = build.probe(left, "fk", keep)
+    expected = reference_probe(build_table, "pk", left, "fk", keep)
+    assert out.column_names == expected.column_names
+    for column in expected.column_names:
+        assert np.array_equal(out.column(column), expected.column(column)), column
 
 
 # ---------------------------------------------------------------------- #
